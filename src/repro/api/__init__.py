@@ -25,7 +25,6 @@ per backend in ``backend.capabilities`` and raise
 from repro.api.backends import (
     BACKENDS,
     Backend,
-    Capabilities,
     ClusterBackend,
     FaustBackend,
     LockstepBackend,
@@ -34,6 +33,7 @@ from repro.api.backends import (
     get_backend,
     open_system,
 )
+from repro.api.capabilities import Capabilities
 from repro.api.config import (
     BatchingPolicy,
     FaustParams,

@@ -20,31 +20,21 @@ cluster     N sharded USTOR/FAUST        per-shard guarantees of the shard
             servers                      protocol; forking shards detected by
                                          exactly the clients that touched them
 ========== ============================ ===========================================
+
+Which ``SystemConfig`` knobs each backend and transport honours, and
+each backend's :class:`Capabilities`, are declared once in
+:mod:`repro.api.capabilities`; every backend here checks its cell of
+that table before it wires anything.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Protocol, runtime_checkable
 
+from repro.api.capabilities import Capabilities, capabilities_of, check
 from repro.api.config import SystemConfig
 from repro.api.system import System
 from repro.common.errors import ConfigurationError
-
-
-@dataclass(frozen=True)
-class Capabilities:
-    """What a backend's deployments can be asked for."""
-
-    #: Operations return per-client timestamps with Definition 5 Integrity.
-    timestamps: bool
-    #: ``stable_i(W)`` notifications / ``wait_for_stability`` available.
-    stability: bool
-    #: Server misbehaviour produces failure notifications.
-    failure_detection: bool
-    #: Operations complete under a correct server despite other clients
-    #: crashing.
-    wait_free: bool
 
 
 @runtime_checkable
@@ -59,160 +49,85 @@ class Backend(Protocol):
         ...
 
 
-def _schedule_outages(raw, config: SystemConfig) -> None:
-    # Sorted, so that when one window ends exactly where the next begins,
-    # the restart event is enqueued (and fires) before the next crash —
-    # event ties at the same virtual time break by scheduling order.
-    for start, duration in sorted(config.server_outages):
-        raw.server_outage(start, duration)
+def build_deployment(config: SystemConfig, protocol: str, **overrides):
+    """Wire one simulated USTOR deployment described by ``config``.
 
+    ``protocol`` ``"faust"`` adds the fail-aware layer; ``overrides``
+    replace :class:`~repro.workloads.runner.SystemBuilder` arguments (the
+    cluster backend names each shard and shares one scheduler).
+    """
+    from repro.workloads.runner import SystemBuilder
 
-def _reject_storage_knobs(config: SystemConfig, backend: str) -> None:
-    """The baseline servers model no durability: fail loudly rather than
-    silently ignoring storage/restart knobs."""
-    if config.storage != "memory" or config.server_outages:
-        raise ConfigurationError(
-            f"the {backend!r} backend has no storage engine: storage= and "
-            f"server_outages= are only supported on 'faust' and 'ustor'"
-        )
-
-
-def _reject_batching_knobs(config: SystemConfig, backend: str) -> None:
-    """The baselines speak their own wire protocols and know nothing of
-    the throughput pipeline: fail loudly rather than silently running
-    them unbatched."""
-    if config.batching is not None:
-        raise ConfigurationError(
-            f"the {backend!r} backend does not support batching=; the "
-            f"throughput pipeline runs on 'faust', 'ustor' and 'cluster'"
-        )
-
-
-def _reject_tcp_transport(config: SystemConfig, backend: str) -> None:
-    """Only the bare-USTOR stack speaks the real wire format today: the
-    fail-aware layer's clock synchronization and the baselines' bespoke
-    message types have no TCP codecs, so fail loudly rather than open a
-    deployment that could never exchange a frame."""
-    if config.transport != "sim":
-        raise ConfigurationError(
-            f"the {backend!r} backend is simulator-only; transport='tcp' "
-            f"runs on the 'ustor' backend"
-        )
-
-
-def _reject_checkpoint_knobs(config: SystemConfig, backend: str) -> None:
-    """Checkpoint co-signing lives in the fail-aware layer (it rides on
-    stability cuts and the offline channel): fail loudly rather than
-    silently running with unbounded state."""
-    if config.checkpoint is not None:
-        raise ConfigurationError(
-            f"the {backend!r} backend has no fail-aware layer to co-sign "
-            f"checkpoints: checkpoint= is only supported on 'faust' and "
-            f"'cluster'/replicas with shard_protocol='faust'"
-        )
-    if config.membership is not None:
-        raise ConfigurationError(
-            f"the {backend!r} backend has no fail-aware layer to co-sign "
-            f"membership epochs: membership= is only supported on 'faust' "
-            f"and 'cluster'/replicas with shard_protocol='faust'"
-        )
-
-
-def _reject_cluster_knobs(config: SystemConfig, backend: str) -> None:
-    """Single-server backends run one shard only: fail loudly rather than
-    silently collapsing a sharded config onto one server."""
-    if config.uses_cluster_knobs():
-        raise ConfigurationError(
-            f"the {backend!r} backend is single-server: shards=, shard_map=, "
-            f"shard_protocol=, shard_server_factories= and shard_outages= "
-            f"are only supported on the 'cluster' backend"
-        )
-
-
-def _reject_replica_knobs(config: SystemConfig, backend: str) -> None:
-    """Replica groups live behind the cluster backend (or a TCP client
-    with one endpoint per replica): fail loudly rather than silently
-    running a single unreplicated server."""
-    if config.uses_replica_knobs():
-        raise ConfigurationError(
-            f"the {backend!r} backend is single-server: replicas=, quorum=, "
-            f"counter= and replica_server_factories= are only supported on "
-            f"the 'cluster' backend (or transport='tcp' client-side)"
-        )
-
-
-class FaustBackend:
-    """USTOR plus the fail-aware layer (Section 6) — the paper's service."""
-
-    name = "faust"
-    capabilities = Capabilities(
-        timestamps=True, stability=True, failure_detection=True, wait_free=True
-    )
-
-    def open_system(self, config: SystemConfig) -> System:
-        """Open a FAUST deployment (single server, fail-aware clients)."""
-        from repro.workloads.runner import SystemBuilder
-
-        _reject_tcp_transport(config, self.name)
-        _reject_cluster_knobs(config, self.name)
-        _reject_replica_knobs(config, self.name)
-        raw = SystemBuilder(
-            num_clients=config.num_clients,
-            seed=config.seed,
-            scheme=config.scheme,
-            latency=config.latency,
-            offline_latency=config.offline_latency,
-            server_factory=config.server_factory,
-            commit_piggyback=config.commit_piggyback,
-            storage=config.storage,
-            batching=config.batching,
-        ).build_faust(
+    kwargs = {
+        "num_clients": config.num_clients,
+        "seed": config.seed,
+        "scheme": config.scheme,
+        "latency": config.latency,
+        "offline_latency": config.offline_latency,
+        "server_factory": config.server_factory,
+        "commit_piggyback": config.commit_piggyback,
+        "storage": config.storage,
+        "batching": config.batching,
+        "replicas": config.replicas,
+        "quorum": config.quorum,
+        "counter": config.counter,
+        "replica_server_factories": config.replica_server_factories,
+    }
+    builder = SystemBuilder(**{**kwargs, **overrides})
+    if protocol == "faust":
+        return builder.build_faust(
             checkpoint=config.checkpoint,
             membership=config.membership,
             **config.faust.as_kwargs(),
         )
-        _schedule_outages(raw, config)
-        return System(raw, self.name, self.capabilities, config.default_timeout)
+    return builder.build()
 
 
-class UstorBackend:
-    """The weak fork-linearizable protocol alone (Algorithms 1-2)."""
+class _TableBackend:
+    """The shared open path: this backend's cell of the capability table
+    (:mod:`repro.api.capabilities`), then the wiring."""
 
-    name = "ustor"
-    capabilities = Capabilities(
-        timestamps=True, stability=False, failure_detection=True, wait_free=True
-    )
+    name: str
+    capabilities: Capabilities
 
     def open_system(self, config: SystemConfig) -> System:
-        """Open a bare-USTOR deployment (no fail-aware layer).
+        """Open a deployment described by ``config``; a knob this backend
+        cannot honour is refused before anything is wired."""
+        check(vars(config), self.name)
+        return self._open(config)
 
-        With ``transport="tcp"`` the deployment's clients speak real
-        sockets to an already-running ``repro serve`` process; the config
-        validation has rejected every server-side knob, so this is purely
-        the client half of the system.
-        """
-        if config.transport == "tcp":
-            return self._open_tcp(config)
-        from repro.workloads.runner import SystemBuilder
-
-        _reject_cluster_knobs(config, self.name)
-        _reject_replica_knobs(config, self.name)
-        _reject_checkpoint_knobs(config, self.name)
-        raw = SystemBuilder(
-            num_clients=config.num_clients,
-            seed=config.seed,
-            scheme=config.scheme,
-            latency=config.latency,
-            offline_latency=config.offline_latency,
-            server_factory=config.server_factory,
-            commit_piggyback=config.commit_piggyback,
-            storage=config.storage,
-            batching=config.batching,
-        ).build()
-        _schedule_outages(raw, config)
+    def _open(self, config: SystemConfig) -> System:
+        raw = build_deployment(config, self.name)
+        # Sorted, so that when one window ends exactly where the next
+        # begins, the restart event is enqueued (and fires) before the
+        # next crash — event ties at the same virtual time break by
+        # scheduling order.
+        for start, duration in sorted(config.server_outages):
+            raw.server_outage(start, duration)
         return System(raw, self.name, self.capabilities, config.default_timeout)
 
-    def _open_tcp(self, config: SystemConfig) -> System:
+
+class FaustBackend(_TableBackend):
+    """USTOR plus the fail-aware layer (Section 6) — the paper's service."""
+
+    name = "faust"
+    capabilities = capabilities_of(name)
+
+
+class UstorBackend(_TableBackend):
+    """The weak fork-linearizable protocol alone (Algorithms 1-2).
+
+    With ``transport="tcp"`` the deployment's clients speak real sockets
+    to an already-running ``repro serve`` process: purely the client half
+    of the system.
+    """
+
+    name = "ustor"
+    capabilities = capabilities_of(name)
+
+    def _open(self, config: SystemConfig) -> System:
+        if config.transport == "sim":
+            return super()._open(config)
         from repro.net.client import open_tcp_system
 
         raw = open_tcp_system(
@@ -233,62 +148,46 @@ class UstorBackend:
         return System(raw, self.name, self.capabilities, config.default_timeout)
 
 
-class LockstepBackend:
+class LockstepBackend(_TableBackend):
     """The SUNDR-style lock-step baseline: fork-linearizable, blocking."""
 
     name = "lockstep"
-    capabilities = Capabilities(
-        timestamps=True, stability=False, failure_detection=True, wait_free=False
-    )
+    capabilities = capabilities_of(name)
 
-    def open_system(self, config: SystemConfig) -> System:
-        """Open a lock-step baseline deployment (blocking protocol)."""
+    def _open(self, config: SystemConfig) -> System:
         from repro.baselines.lockstep import build_lockstep_system
 
-        _reject_tcp_transport(config, self.name)
-        _reject_cluster_knobs(config, self.name)
-        _reject_replica_knobs(config, self.name)
-        _reject_storage_knobs(config, self.name)
-        _reject_batching_knobs(config, self.name)
-        _reject_checkpoint_knobs(config, self.name)
         raw = build_lockstep_system(
             config.num_clients,
             seed=config.seed,
             scheme=config.scheme,
             latency=config.latency,
+            offline_latency=config.offline_latency,
             server_factory=config.server_factory,
         )
         return System(raw, self.name, self.capabilities, config.default_timeout)
 
 
-class UncheckedBackend:
+class UncheckedBackend(_TableBackend):
     """The naive baseline: trusts every byte; nothing is ever detected."""
 
     name = "unchecked"
-    capabilities = Capabilities(
-        timestamps=True, stability=False, failure_detection=False, wait_free=True
-    )
+    capabilities = capabilities_of(name)
 
-    def open_system(self, config: SystemConfig) -> System:
-        """Open an unchecked baseline deployment (no verification)."""
+    def _open(self, config: SystemConfig) -> System:
         from repro.baselines.unchecked import build_unchecked_system
 
-        _reject_tcp_transport(config, self.name)
-        _reject_cluster_knobs(config, self.name)
-        _reject_replica_knobs(config, self.name)
-        _reject_storage_knobs(config, self.name)
-        _reject_batching_knobs(config, self.name)
-        _reject_checkpoint_knobs(config, self.name)
         raw = build_unchecked_system(
             config.num_clients,
             seed=config.seed,
             latency=config.latency,
+            offline_latency=config.offline_latency,
             server_factory=config.server_factory,
         )
         return System(raw, self.name, self.capabilities, config.default_timeout)
 
 
-class ClusterBackend:
+class ClusterBackend(_TableBackend):
     """N sharded single-server deployments behind one session facade.
 
     Every shard runs the protocol ``config.shard_protocol`` selects
@@ -300,26 +199,13 @@ class ClusterBackend:
     name = "cluster"
     #: Capabilities of the default (fail-aware) shard protocol; the opened
     #: system carries the exact capabilities of its configuration.
-    capabilities = Capabilities(
-        timestamps=True, stability=True, failure_detection=True, wait_free=True
-    )
+    capabilities = capabilities_of(name)
 
-    def open_system(self, config: SystemConfig):
-        """Open a sharded deployment (one sub-deployment per shard)."""
+    def _open(self, config: SystemConfig):
         from repro.cluster.backend import open_cluster_system
 
-        _reject_tcp_transport(config, self.name)
         return open_cluster_system(
-            config, self.name, self._capabilities_for(config)
-        )
-
-    @staticmethod
-    def _capabilities_for(config: SystemConfig) -> Capabilities:
-        return Capabilities(
-            timestamps=True,
-            stability=config.shard_protocol == "faust",
-            failure_detection=True,
-            wait_free=True,
+            config, self.name, capabilities_of(self.name, config.shard_protocol)
         )
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
+from repro.api.capabilities import check
 from repro.common.errors import ConfigurationError
 from repro.sim.network import LatencyModel
 
@@ -97,6 +98,8 @@ class SystemConfig:
     server-side knob (``server_factory``, ``storage``, ``server_outages``,
     batching, shards, latency models) belongs to that process's command
     line, not to this config — setting one here is rejected loudly.
+    Which backend and transport honour which field is decided in one
+    place, :mod:`repro.api.capabilities`.
     """
 
     num_clients: int
@@ -312,9 +315,6 @@ class SystemConfig:
                     f"replica_server_factories names replica {replica!r} but "
                     f"each shard has {self.replicas} replica(s)"
                 )
-        self._validate_transport()
-
-    def _validate_transport(self) -> None:
         if self.transport not in ("sim", "tcp"):
             raise ConfigurationError(
                 f"transport must be 'sim' or 'tcp', got {self.transport!r}"
@@ -325,86 +325,18 @@ class SystemConfig:
             )
         else:
             self.endpoints = tuple(self.endpoints)
-        if self.transport == "sim":
-            if self.endpoints:
-                raise ConfigurationError(
-                    "endpoints= names real servers; it needs transport='tcp'"
-                )
-            if self.trace_path is not None:
-                raise ConfigurationError(
-                    "trace_path= records a real run's wire trace; it needs "
-                    "transport='tcp' (simulated runs are already deterministic)"
-                )
-            if self.trace_ids:
-                raise ConfigurationError(
-                    "trace_ids= stamps wire messages for cross-process "
-                    "tracing; it needs transport='tcp' (simulated runs are "
-                    "traced at the session layer)"
-                )
-            if self.server_name != "S":
-                raise ConfigurationError(
-                    "server_name= matches a real server process's handshake; "
-                    "it needs transport='tcp' (simulated servers are named "
-                    "by the backend)"
-                )
-            return
-        if not self.endpoints:
+        if self.transport == "tcp" and not self.endpoints:
             raise ConfigurationError(
                 "transport='tcp' needs endpoints= ('host:port', e.g. from "
                 "'python -m repro serve')"
             )
-        if len(self.endpoints) != self.replicas:
+        if self.transport == "tcp" and len(self.endpoints) != self.replicas:
             raise ConfigurationError(
                 f"transport='tcp' needs one endpoint per replica: "
                 f"replicas={self.replicas} but {len(self.endpoints)} "
                 f"endpoint(s) given"
             )
-        server_side = []
-        if self.server_factory is not None:
-            server_side.append("server_factory")
-        if self.storage != "memory":
-            server_side.append("storage")
-        if self.server_outages:
-            server_side.append("server_outages")
-        if self.checkpoint is not None:
-            raise ConfigurationError(
-                "checkpoint= needs the fail-aware layer's offline channel "
-                "for co-signing; transport='tcp' runs bare USTOR clients "
-                "against server processes"
-            )
-        if self.batching is not None:
-            server_side.append("batching")
-        if self.latency is not None or self.offline_latency is not None:
-            server_side.append("latency")
-        if self.uses_cluster_knobs():
-            server_side.append("shards")
-        if self.replica_server_factories:
-            server_side.append("replica_server_factories")
-        if server_side:
-            raise ConfigurationError(
-                f"transport='tcp' runs the server in its own process: "
-                f"{', '.join(server_side)} belong on the 'repro serve' "
-                f"command line, not on the client config"
-            )
-
-    def uses_cluster_knobs(self) -> bool:
-        """Is any shard-axis knob set away from its single-server default?"""
-        return bool(
-            self.shards != 1
-            or self.shard_map != "range"
-            or self.shard_protocol != "faust"
-            or self.shard_server_factories
-            or self.shard_outages
-        )
-
-    def uses_replica_knobs(self) -> bool:
-        """Is any replica-axis knob set away from its single-server default?"""
-        return bool(
-            self.replicas != 1
-            or self.quorum is not None
-            or self.counter is not None
-            or self.replica_server_factories
-        )
+        check(vars(self))
 
 
 def validate_outage_windows(

@@ -7,7 +7,7 @@ until the operation settles), or chained (``add_done_callback``).
 
 Inside the discrete-event simulation "waiting" means advancing the whole
 world, so ``result()`` on one handle may complete other clients' timers,
-probes and operations too — exactly as in :class:`FaustService` before.
+probes and operations too.
 """
 
 from __future__ import annotations
@@ -105,7 +105,7 @@ class OpHandle:
         self._session._drive(lambda: self._settled, timeout)
         if not self._settled:
             # The client may have died without a failure listener firing.
-            self._session._reject_if_dead(self)
+            self._session._fail_if_dead(self)
         return self._settled
 
     def result(self, timeout: float | None = None) -> OpResult:

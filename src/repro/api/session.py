@@ -9,8 +9,7 @@ paper's service interface uniformly across protocols:
   queues internally (FAUST) receive every submission at once; clients
   that require one operation at a time (USTOR, the baselines) are fed
   from a session-side backlog as each operation completes.
-* ``write_sync()``/``read_sync()`` are the blocking convenience forms
-  (formerly :class:`repro.faust.service.FaustService`).
+* ``write_sync()``/``read_sync()`` are the blocking convenience forms.
 * ``barrier()`` drives the simulation until every handle issued by this
   session has settled.
 * ``wait_for_stability()``/``stability_cut`` surface the fail-aware
@@ -199,7 +198,7 @@ class Session:
             self.flush()
         waited = self._issued_unsettled()
         self._drive(self._all_issued_settled, timeout, flush=False)
-        self._reject_if_dead()
+        self._fail_if_dead()
         still_pending = [h for h in waited if not h.done()]
         if still_pending:
             raise OperationTimeout(
@@ -407,7 +406,7 @@ class Session:
         if self._client.crashed:
             raise ProtocolError(f"{self._client.name} has crashed")
 
-    def _reject_if_dead(self, handle: OpHandle | None = None) -> None:
+    def _fail_if_dead(self, handle: OpHandle | None = None) -> None:
         reason = self._death_reason()
         if reason is not None:
             self._fail_all(OperationFailed(reason))

@@ -508,6 +508,7 @@ def build_lockstep_system(
     scheme: str = "hmac",
     latency=None,
     server_factory: Callable[[int, str], LockStepServer] | None = None,
+    offline_latency=None,
 ):
     """Assemble a lock-step deployment mirroring ``SystemBuilder.build``."""
     from repro.sim.network import FixedLatency, Network
@@ -520,7 +521,7 @@ def build_lockstep_system(
     scheduler = Scheduler(seed=seed)
     trace = SimTrace()
     network = Network(scheduler, default_latency=latency or FixedLatency(1.0), trace=trace)
-    offline = OfflineChannel(scheduler, trace=trace)
+    offline = OfflineChannel(scheduler, latency=offline_latency, trace=trace)
     keystore = KeyStore(num_clients, scheme=scheme)
     recorder = HistoryRecorder()
     factory = server_factory or (lambda n, name: LockStepServer(n, name=name))

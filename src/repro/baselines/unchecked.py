@@ -186,7 +186,13 @@ class LyingUncheckedServer(UncheckedServer):
         super().on_message(src, message)
 
 
-def build_unchecked_system(num_clients: int, seed: int = 0, latency=None, server_factory=None):
+def build_unchecked_system(
+    num_clients: int,
+    seed: int = 0,
+    latency=None,
+    server_factory=None,
+    offline_latency=None,
+):
     """Assemble an unchecked deployment mirroring ``SystemBuilder.build``."""
     from repro.crypto.keystore import KeyStore
     from repro.sim.network import FixedLatency, Network
@@ -198,7 +204,7 @@ def build_unchecked_system(num_clients: int, seed: int = 0, latency=None, server
     scheduler = Scheduler(seed=seed)
     trace = SimTrace()
     network = Network(scheduler, default_latency=latency or FixedLatency(1.0), trace=trace)
-    offline = OfflineChannel(scheduler, trace=trace)
+    offline = OfflineChannel(scheduler, latency=offline_latency, trace=trace)
     recorder = HistoryRecorder()
     factory = server_factory or (lambda n, name: UncheckedServer(n, name=name))
     server = factory(num_clients, "S")

@@ -171,7 +171,7 @@ class ClusterSession:
 
         self._cluster.run_until(drained, timeout=limit)
         for session in sessions.values():
-            session._reject_if_dead()
+            session._fail_if_dead()
         pending_shards = sorted(
             shard
             for shard, handles in per_session.items()

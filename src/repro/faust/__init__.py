@@ -1,5 +1,6 @@
 """FAUST: the fail-aware untrusted storage service layer (Section 6)."""
 
+from repro.api.errors import OperationFailed
 from repro.faust.ablation import VectorOnlyTracker, ablate_system
 from repro.faust.checkpoint import Checkpoint, CheckpointManager, CheckpointPolicy
 from repro.faust.client import FaustClient
@@ -17,7 +18,6 @@ from repro.faust.messages import (
     ProbeMessage,
     VersionMessage,
 )
-from repro.faust.service import FaustService, OperationFailed
 from repro.faust.stability import AbsorbOutcome, StabilityTracker
 from repro.faust.validator import FailAwareReport, validate_fail_aware_run
 
@@ -33,7 +33,6 @@ __all__ = [
     "FailAwareReport",
     "FailureMessage",
     "FaustClient",
-    "FaustService",
     "MembershipManager",
     "MembershipPolicy",
     "OperationFailed",

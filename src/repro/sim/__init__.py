@@ -7,7 +7,7 @@ periodic timers, and run tracing/metrics.
 """
 
 from repro.sim.faults import ServerFaultInjector
-from repro.sim.metrics import Counter, MetricsRegistry, Sample, Summary, summarize
+from repro.sim.metrics import Summary, summarize
 from repro.sim.network import (
     ExponentialLatency,
     FixedLatency,
@@ -24,19 +24,16 @@ from repro.sim.timers import PeriodicTimer
 from repro.sim.trace import MessageRecord, NoteRecord, SimTrace
 
 __all__ = [
-    "Counter",
     "EventHandle",
     "ExponentialLatency",
     "FixedLatency",
     "LatencyModel",
     "MessageRecord",
-    "MetricsRegistry",
     "Network",
     "Node",
     "NoteRecord",
     "OfflineChannel",
     "PeriodicTimer",
-    "Sample",
     "Scheduler",
     "ServerFaultInjector",
     "SimTrace",

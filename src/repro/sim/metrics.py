@@ -9,7 +9,7 @@ kernel dependency-free makes the simulator embeddable anywhere.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 
@@ -61,58 +61,3 @@ def summarize(values: Iterable[float]) -> Summary:
         p95=percentile(data, 0.95),
         stddev=math.sqrt(variance),
     )
-
-
-@dataclass
-class Counter:
-    """A named monotonic counter."""
-
-    name: str
-    value: int = 0
-
-    def increment(self, by: int = 1) -> None:
-        if by < 0:
-            raise ValueError("counters only go up")
-        self.value += by
-
-
-@dataclass
-class Sample:
-    """A named collection of observations."""
-
-    name: str
-    values: list[float] = field(default_factory=list)
-
-    def observe(self, value: float) -> None:
-        self.values.append(float(value))
-
-    def summary(self) -> Summary:
-        return summarize(self.values)
-
-
-class MetricsRegistry:
-    """Bag of counters and samples keyed by name."""
-
-    def __init__(self) -> None:
-        self._counters: dict[str, Counter] = {}
-        self._samples: dict[str, Sample] = {}
-
-    def counter(self, name: str) -> Counter:
-        if name not in self._counters:
-            self._counters[name] = Counter(name)
-        return self._counters[name]
-
-    def sample(self, name: str) -> Sample:
-        if name not in self._samples:
-            self._samples[name] = Sample(name)
-        return self._samples[name]
-
-    def counters(self) -> dict[str, int]:
-        return {name: c.value for name, c in sorted(self._counters.items())}
-
-    def summaries(self) -> dict[str, Summary]:
-        return {
-            name: s.summary()
-            for name, s in sorted(self._samples.items())
-            if s.values
-        }
