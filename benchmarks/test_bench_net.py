@@ -15,7 +15,6 @@ import time
 
 import pytest
 
-from repro.api.session import as_session
 from repro.net.client import NetRuntime, open_tcp_system
 from repro.net.server import NetServerHost
 from repro.workloads.generator import Driver, WorkloadConfig, generate_scripts
@@ -88,7 +87,7 @@ def test_loopback_write_latency(record_hot_path):
     rounds = 50
     system = _open_loopback(1)
     with system:
-        session = as_session(system, 0)
+        session = system.session(0)
         session.write_sync(b"warmup")
         started = time.perf_counter()
         for i in range(rounds):

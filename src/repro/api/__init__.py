@@ -49,7 +49,7 @@ from repro.api.events import (
     Subscription,
 )
 from repro.api.handles import OpHandle, OpResult
-from repro.api.session import Session, as_session
+from repro.api.session import Session
 from repro.api.system import System
 
 __all__ = [
@@ -77,7 +77,6 @@ __all__ = [
     "SystemConfig",
     "UncheckedBackend",
     "UstorBackend",
-    "as_session",
     "get_backend",
     "open_system",
 ]

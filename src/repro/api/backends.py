@@ -94,17 +94,19 @@ class _TableBackend:
         """Open a deployment described by ``config``; a knob this backend
         cannot honour is refused before anything is wired."""
         check(vars(config), self.name)
-        return self._open(config)
+        system = self._open(config)
+        system.default_timeout = config.default_timeout
+        return system
 
     def _open(self, config: SystemConfig) -> System:
-        raw = build_deployment(config, self.name)
+        system = build_deployment(config, self.name)
         # Sorted, so that when one window ends exactly where the next
         # begins, the restart event is enqueued (and fires) before the
         # next crash — event ties at the same virtual time break by
         # scheduling order.
         for start, duration in sorted(config.server_outages):
-            raw.server_outage(start, duration)
-        return System(raw, self.name, self.capabilities, config.default_timeout)
+            system.server_outage(start, duration)
+        return system
 
 
 class FaustBackend(_TableBackend):
@@ -130,7 +132,7 @@ class UstorBackend(_TableBackend):
             return super()._open(config)
         from repro.net.client import open_tcp_system
 
-        raw = open_tcp_system(
+        return open_tcp_system(
             config.num_clients,
             config.endpoints,
             server_name=config.server_name,
@@ -145,7 +147,6 @@ class UstorBackend(_TableBackend):
             quorum=config.quorum,
             counter=config.counter is not None,
         )
-        return System(raw, self.name, self.capabilities, config.default_timeout)
 
 
 class LockstepBackend(_TableBackend):
@@ -157,7 +158,7 @@ class LockstepBackend(_TableBackend):
     def _open(self, config: SystemConfig) -> System:
         from repro.baselines.lockstep import build_lockstep_system
 
-        raw = build_lockstep_system(
+        return build_lockstep_system(
             config.num_clients,
             seed=config.seed,
             scheme=config.scheme,
@@ -165,7 +166,6 @@ class LockstepBackend(_TableBackend):
             offline_latency=config.offline_latency,
             server_factory=config.server_factory,
         )
-        return System(raw, self.name, self.capabilities, config.default_timeout)
 
 
 class UncheckedBackend(_TableBackend):
@@ -177,14 +177,13 @@ class UncheckedBackend(_TableBackend):
     def _open(self, config: SystemConfig) -> System:
         from repro.baselines.unchecked import build_unchecked_system
 
-        raw = build_unchecked_system(
+        return build_unchecked_system(
             config.num_clients,
             seed=config.seed,
             latency=config.latency,
             offline_latency=config.offline_latency,
             server_factory=config.server_factory,
         )
-        return System(raw, self.name, self.capabilities, config.default_timeout)
 
 
 class ClusterBackend(_TableBackend):
@@ -201,12 +200,10 @@ class ClusterBackend(_TableBackend):
     #: system carries the exact capabilities of its configuration.
     capabilities = capabilities_of(name)
 
-    def _open(self, config: SystemConfig):
+    def _open(self, config: SystemConfig) -> System:
         from repro.cluster.backend import open_cluster_system
 
-        return open_cluster_system(
-            config, self.name, capabilities_of(self.name, config.shard_protocol)
-        )
+        return open_cluster_system(config)
 
 
 #: The built-in backends, by name.

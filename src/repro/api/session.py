@@ -27,8 +27,9 @@ only for already-issued operations).  Batching changes *when* the
 bookkeeping happens, never the protocol: each operation still runs the
 full per-op SUBMIT/REPLY/COMMIT exchange in submission order.
 
-Sessions accept either the high-level :class:`repro.api.system.System`
-or a raw :class:`~repro.workloads.runner.StorageSystem`.
+An operation the protocol client refuses outright (a register out of
+range, a value that is not ``bytes``) raises at submission and leaves
+the session as it was: nothing outstanding, no slot held.
 """
 
 from __future__ import annotations
@@ -51,9 +52,7 @@ class Session:
         self._system = system
         self._client = system.clients[client_id]
         self._client_id = client_id
-        if timeout is None:
-            timeout = getattr(system, "default_timeout", 1_000.0)
-        self._timeout = timeout
+        self._timeout = system.default_timeout if timeout is None else timeout
         self._inflight: OpHandle | None = None
         self._backlog: deque[tuple[OpKind, RegisterId, Value | None, OpHandle]] = (
             deque()
@@ -65,7 +64,7 @@ class Session:
         self._unsettled: deque[OpHandle] = deque()
         #: Auto-flush batching (None = unbatched): buffered submissions
         #: and the pending flush timer, per the system's BatchingPolicy.
-        self._batching = getattr(system, "batching", None)
+        self._batching = system.batching
         self._batch_buffer: deque[tuple[OpKind, RegisterId, Value | None, OpHandle]] = (
             deque()
         )
@@ -81,7 +80,7 @@ class Session:
             "session.flush_batch_ops", COUNT_BUCKETS
         )
         self._obs_latency = registry.histogram("session.op_latency")
-        self._span_log = getattr(system, "span_log", None)
+        self._span_log = system.span_log
         if hasattr(self._client, "add_failure_listener"):
             self._client.add_failure_listener(self._on_client_failure)
 
@@ -250,14 +249,19 @@ class Session:
     def _submit(self, kind: OpKind, register: RegisterId, value) -> OpHandle:
         self._raise_if_dead()
         handle = OpHandle(self, kind, register)
-        self._obs_issued.inc()
         if self._obs_enabled or self._span_log is not None:
             handle._obs_issued_at = self._system.scheduler.now
         self._unsettled.append(handle)
         policy = self._batching
         if policy is None:
-            self._dispatch(kind, register, value, handle)
+            try:
+                self._dispatch(kind, register, value, handle)
+            except ProtocolError:
+                self._unsettled.remove(handle)
+                raise
+            self._obs_issued.inc()
             return handle
+        self._obs_issued.inc()
         # Batched: park the operation; flush on size, timer, or barrier.
         self._batch_buffer.append((kind, register, value, handle))
         if len(self._batch_buffer) >= policy.max_batch:
@@ -275,7 +279,11 @@ class Session:
             self._issue(kind, register, value, handle)
         elif self._inflight is None:
             self._inflight = handle
-            self._issue(kind, register, value, handle)
+            try:
+                self._issue(kind, register, value, handle)
+            except ProtocolError:
+                self._inflight = None
+                raise
         else:
             self._backlog.append((kind, register, value, handle))
 
@@ -433,10 +441,3 @@ class Session:
             timeout=self._limit(timeout),
         )
 
-
-def as_session(system, client_id: int, timeout: float | None = None) -> Session:
-    """A session for ``client_id``, reusing the system's cache when the
-    high-level :class:`repro.api.system.System` is passed."""
-    if hasattr(system, "session"):
-        return system.session(client_id, timeout=timeout)
-    return Session(system, client_id, timeout=timeout)

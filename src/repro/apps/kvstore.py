@@ -25,7 +25,6 @@ import json
 from dataclasses import dataclass
 from typing import Any
 
-from repro.api.session import as_session
 from repro.common.errors import ProtocolError
 from repro.common.types import BOTTOM, ClientId
 
@@ -65,11 +64,11 @@ class KvStore:
     """A per-client handle to the shared map."""
 
     def __init__(self, system, client_id: ClientId) -> None:
-        """``system`` may be a :class:`repro.api.system.System` or a raw
-        :class:`~repro.workloads.runner.StorageSystem`."""
+        """Bind ``client_id`` of ``system`` (a
+        :class:`repro.api.system.System`) through its cached session."""
         self._system = system
         self._client_id = client_id
-        self._session = as_session(system, client_id)
+        self._session = system.session(client_id)
         self._log: list[KvUpdate] = []
         self._clock = 0  # Lamport clock, advanced by updates and merges
 

@@ -516,7 +516,7 @@ def build_lockstep_system(
     from repro.sim.scheduler import Scheduler
     from repro.sim.trace import SimTrace
     from repro.crypto.keystore import KeyStore
-    from repro.workloads.runner import StorageSystem
+    from repro.api.system import System
 
     scheduler = Scheduler(seed=seed)
     trace = SimTrace()
@@ -538,7 +538,8 @@ def build_lockstep_system(
         network.register(client)
         offline.register(client)
         clients.append(client)
-    return StorageSystem(
+    return System(
+        backend_name="lockstep",
         scheduler=scheduler,
         network=network,
         offline=offline,

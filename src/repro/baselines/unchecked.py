@@ -94,6 +94,8 @@ class UncheckedClient(Node):
         self._invoke(OpKind.WRITE, self._id, value, callback)
 
     def read(self, register: RegisterId, callback=None) -> None:
+        if not 0 <= register < self._n:
+            raise ProtocolError(f"register {register} out of range")
         self._invoke(OpKind.READ, register, None, callback)
 
     def _invoke(self, kind, register, value, callback) -> None:
@@ -199,7 +201,7 @@ def build_unchecked_system(
     from repro.sim.offline import OfflineChannel
     from repro.sim.scheduler import Scheduler
     from repro.sim.trace import SimTrace
-    from repro.workloads.runner import StorageSystem
+    from repro.api.system import System
 
     scheduler = Scheduler(seed=seed)
     trace = SimTrace()
@@ -215,7 +217,8 @@ def build_unchecked_system(
         network.register(client)
         offline.register(client)
         clients.append(client)
-    return StorageSystem(
+    return System(
+        backend_name="unchecked",
         scheduler=scheduler,
         network=network,
         offline=offline,

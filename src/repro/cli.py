@@ -397,11 +397,8 @@ def _cmd_run(args) -> int:
     except ConfigurationError as exc:
         print(f"cannot open {args.transport} deployment: {exc}")
         return 1
-    try:
+    with system:
         _run_and_report(args, system, backend, batching, span_log)
-    finally:
-        if tcp:
-            system.close()
     return 0
 
 

@@ -34,7 +34,7 @@ def derive_shard_seed(seed: int, shard: int) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def open_cluster_system(config: SystemConfig, backend_name: str, capabilities):
+def open_cluster_system(config: SystemConfig) -> ClusterSystem:
     """Build a :class:`ClusterSystem` described by ``config``."""
     if config.shards > config.num_clients:
         raise ConfigurationError(
@@ -68,6 +68,8 @@ def open_cluster_system(config: SystemConfig, backend_name: str, capabilities):
                 if config.shards > 1
                 else None
             ),
+            # The cluster wires its own hub per (client, shard) touched.
+            notify=False,
         )
         shards.append(raw)
 
@@ -75,8 +77,6 @@ def open_cluster_system(config: SystemConfig, backend_name: str, capabilities):
         shards=shards,
         shard_map=shard_map,
         scheduler=scheduler,
-        backend_name=backend_name,
-        capabilities=capabilities,
         default_timeout=config.default_timeout,
         shard_protocol=config.shard_protocol,
     )

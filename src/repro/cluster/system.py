@@ -1,21 +1,22 @@
 """The sharded deployment: N independent servers, one simulated world.
 
 A :class:`ClusterSystem` holds one fully wired single-server deployment
-(:class:`~repro.workloads.runner.StorageSystem`) per shard, all driven by
-one shared :class:`~repro.sim.scheduler.Scheduler` so every shard lives
-in the same virtual time.  Each shard is a complete, independent
+(a :class:`~repro.api.system.System`) per shard, all driven by one
+shared :class:`~repro.sim.scheduler.Scheduler` so every shard lives in
+the same virtual time.  Each shard is a complete, independent
 protocol domain — its own server, keystore, offline channel, history —
 owning one partition of the register space; the cluster layer never
 crosses protocol state between shards (doing so would be a fork by
 construction).
 
-The class mirrors the full facade surface of
-:class:`~repro.api.system.System` *and* enough of the raw
-:class:`StorageSystem` surface (``clients``, ``scheduler``, ``offline``,
-``trace``, ``server_outage`` ...) that drivers, churn schedules and the
-CLI run unchanged on a cluster.  ``clients`` holds
-:class:`ClusterClient` proxies that route operations by register
-ownership and aggregate per-shard state.
+The class subclasses :class:`~repro.api.system.System` — sessions,
+capability checks, running, audits and profiles are inherited — and
+overrides only what the topology changes: construction, the
+:class:`ClusterSession` factory, per-shard histories and the shard axis
+of server outages.  ``clients``, ``offline`` and ``trace`` are cluster
+facades, so drivers, churn schedules and the CLI run unchanged on a
+cluster; ``clients`` holds :class:`ClusterClient` proxies that route
+operations by register ownership and aggregate per-shard state.
 
 Detection is audited **per shard and per dependency**: the cluster wires
 a client's notifications for exactly the shards that client touched with
@@ -29,7 +30,9 @@ from __future__ import annotations
 
 from typing import Callable
 
+from repro.api.capabilities import capabilities_of
 from repro.api.errors import CapabilityError
+from repro.api.system import System
 from repro.cluster.events import ClusterNotificationHub
 from repro.cluster.session import ClusterSession
 from repro.cluster.shardmap import ShardMap
@@ -37,7 +40,6 @@ from repro.common.errors import ConfigurationError
 from repro.common.types import ClientId, RegisterId, Value, client_name
 from repro.history.history import History
 from repro.sim.scheduler import Scheduler
-from repro.workloads.runner import StorageSystem
 
 
 class ClusterClient:
@@ -223,16 +225,16 @@ class _ClusterTrace:
         )
 
 
-class ClusterSystem:
+class ClusterSystem(System):
     """A sharded deployment opened through the ``cluster`` backend."""
+
+    session_type = ClusterSession
 
     def __init__(
         self,
-        shards: list[StorageSystem],
+        shards: list[System],
         shard_map: ShardMap,
         scheduler: Scheduler,
-        backend_name: str,
-        capabilities,
         default_timeout: float = 1_000.0,
         shard_protocol: str = "faust",
     ) -> None:
@@ -244,8 +246,8 @@ class ClusterSystem:
         self.shards = shards
         self.shard_map = shard_map
         self.scheduler = scheduler
-        self.backend_name = backend_name
-        self.capabilities = capabilities
+        self.backend_name = "cluster"
+        self.capabilities = capabilities_of("cluster", shard_protocol)
         self.default_timeout = default_timeout
         self.shard_protocol = shard_protocol
         self.num_clients = len(shards[0].clients)
@@ -341,64 +343,6 @@ class ClusterSystem:
                 shard,
             )
 
-    # ------------------------------------------------------------------ #
-    # Sessions
-    # ------------------------------------------------------------------ #
-
-    def session(
-        self, client_id: ClientId, timeout: float | None = None
-    ) -> ClusterSession:
-        """The cluster session bound to ``client_id`` (cached per client
-        unless an explicit ``timeout`` asks for a dedicated one)."""
-        if timeout is not None:
-            return ClusterSession(self, client_id, timeout=timeout)
-        if client_id not in self._sessions:
-            self._sessions[client_id] = ClusterSession(self, client_id)
-        return self._sessions[client_id]
-
-    def sessions(self) -> list[ClusterSession]:
-        """One session per client, in client order."""
-        return [self.session(i) for i in range(self.num_clients)]
-
-    # ------------------------------------------------------------------ #
-    # Guarantees
-    # ------------------------------------------------------------------ #
-
-    def require(self, capability: str) -> None:
-        """Assert the cluster provides ``capability``; raises
-        :class:`CapabilityError` if not."""
-        if not getattr(self.capabilities, capability):
-            raise CapabilityError(
-                f"backend {self.backend_name!r} does not provide {capability}"
-            )
-
-    # ------------------------------------------------------------------ #
-    # The simulated world
-    # ------------------------------------------------------------------ #
-
-    def run(self, until: float | None = None, max_events: int | None = None) -> int:
-        """Advance the shared simulation; returns events fired."""
-        return self.scheduler.run(until=until, max_events=max_events)
-
-    def run_until(
-        self, predicate: Callable[[], bool], timeout: float | None = None
-    ) -> bool:
-        """Run until ``predicate()`` holds; returns whether it ever did."""
-        return self.scheduler.run_until(predicate, timeout=timeout)
-
-    @property
-    def now(self) -> float:
-        """Current virtual time (shared by every shard)."""
-        return self.scheduler.now
-
-    def crash_client_at(self, client_id: ClientId, time: float) -> None:
-        """Schedule a crash-stop of one client (all its shard instances)."""
-        proxy = self.clients[client_id]
-        self.scheduler.schedule_at(
-            time,
-            lambda: (proxy.crash(), self.trace.note(time, proxy.name, "crash")),
-        )
-
     # -- server faults, with a shard axis ------------------------------- #
 
     def shard_outage(self, shard: int, start: float, duration: float) -> None:
@@ -431,32 +375,12 @@ class ClusterSystem:
         """The recorded history of every shard, keyed by shard."""
         return {k: shard.history() for k, shard in enumerate(self.shards)}
 
-    def attach_audit(
-        self,
-        every: float = 50.0,
-        checks: tuple[str, ...] = ("linearizability", "causal"),
-    ):
-        """Start periodic O(delta) consistency audits — one streaming
-        checker set per shard, since each shard is its own consistency
-        domain (verdict keys are ``"shard<k>.<check>"``)."""
-        from repro.workloads.runner import IncrementalAuditor
-
-        return IncrementalAuditor(self, every=every, checks=checks)
-
     def history(self) -> History:
         """Unsupported on clusters: use :meth:`shard_histories`."""
         raise CapabilityError(
             "a cluster has one history per shard (each shard is an "
             "independent fork-linearizability domain); use shard_histories()"
         )
-
-    def profile(self) -> dict:
-        """Machine-readable performance profile of the whole cluster
-        (:func:`repro.perf.system_profile`): per-shard scheduler/server
-        counters, cluster-wide aggregates and hot-path cache stats."""
-        from repro.perf.profile import system_profile
-
-        return system_profile(self)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

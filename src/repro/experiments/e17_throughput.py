@@ -88,7 +88,7 @@ def _run_cell(
     elapsed = time.perf_counter() - started
 
     total_ops = num_clients * ops_per_client
-    raws = system.shards if backend == "cluster" else [system.raw]
+    raws = system.shards if backend == "cluster" else [system]
     verdicts_ok = all(
         check_linearizability(history).ok for history in _histories(system)
     )

@@ -1,6 +1,6 @@
 """Executable Definition 5: validate a whole FAUST run condition by condition.
 
-Given a finished (quiescent) :class:`~repro.workloads.runner.StorageSystem`
+Given a finished (quiescent) :class:`~repro.api.system.System`
 that ran FAUST clients, :func:`validate_fail_aware_run` checks every
 condition of the paper's central definition:
 
@@ -31,13 +31,16 @@ Byzantine deployments — Definition 5 as a regression test.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.consistency.causal import check_causal_consistency
 from repro.consistency.linearizability import check_linearizability
 from repro.consistency.report import CheckResult, ok, violated
 from repro.history.causality import build_causal_structure
 from repro.history.history import History
-from repro.workloads.runner import StorageSystem
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.api.system import System
 
 
 @dataclass
@@ -65,13 +68,13 @@ class FailAwareReport:
         return "\n".join(lines)
 
 
-def _correct_clients(system: StorageSystem) -> list:
+def _correct_clients(system: System) -> list:
     """Clients that did not crash (the paper's notion of correct client)."""
     return [client for client in system.clients if not client.crashed]
 
 
 def _check_wait_freedom(
-    system: StorageSystem, history: History, cutoff: float
+    system: System, history: History, cutoff: float
 ) -> CheckResult:
     """Finite-run rendition of wait-freedom.
 
@@ -113,7 +116,7 @@ def _check_integrity(history: History) -> CheckResult:
     return ok(name)
 
 
-def _check_accuracy(system: StorageSystem, server_correct: bool) -> CheckResult:
+def _check_accuracy(system: System, server_correct: bool) -> CheckResult:
     name = "failure-detection accuracy"
     failed = [c for c in system.clients if getattr(c, "faust_failed", False)]
     if failed and server_correct:
@@ -124,7 +127,7 @@ def _check_accuracy(system: StorageSystem, server_correct: bool) -> CheckResult:
     return ok(name)
 
 
-def _check_stability_accuracy(system: StorageSystem, history: History) -> CheckResult:
+def _check_stability_accuracy(system: System, history: History) -> CheckResult:
     name = "stability-detection accuracy"
     complete = history.completed_for_checking()
     structure = build_causal_structure(complete)
@@ -161,7 +164,7 @@ def _check_stability_accuracy(system: StorageSystem, history: History) -> CheckR
 
 
 def _check_completeness(
-    system: StorageSystem, history: History, cutoff: float
+    system: System, history: History, cutoff: float
 ) -> CheckResult:
     name = "detection completeness"
     correct = _correct_clients(system)
@@ -193,7 +196,7 @@ def _check_completeness(
 
 
 def validate_fail_aware_run(
-    system: StorageSystem,
+    system: System,
     server_correct: bool,
     completeness_cutoff: float | None = None,
 ) -> FailAwareReport:

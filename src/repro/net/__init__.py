@@ -18,22 +18,23 @@ Layout:
   ``Scheduler``'s timer surface;
 * :mod:`repro.net.server` — asyncio server host (in-process for loopback
   tests, standalone for ``python -m repro serve``);
-* :mod:`repro.net.client` — asyncio client runtime and the ``NetSystem``
-  facade mirroring the sim ``StorageSystem`` surface;
+* :mod:`repro.net.client` — asyncio client runtime and
+  :func:`open_tcp_system`, which returns the same
+  :class:`~repro.api.system.System` as the simulator with a
+  ``RealtimeScheduler`` as its transport;
 * :mod:`repro.net.trace` — append-only JSONL wire traces and their
   deterministic replay on the sim backend;
 * :mod:`repro.net.supervisor` — OS-process lifecycle for servers.
 """
 
 from repro.net.transport import Transport
-from repro.net.client import NetSystem, open_tcp_system
+from repro.net.client import open_tcp_system
 from repro.net.server import NetServerHost, serve_forever
 from repro.net.supervisor import ClusterSupervisor, ServerProcess
 from repro.net.trace import replay_trace
 
 __all__ = [
     "Transport",
-    "NetSystem",
     "open_tcp_system",
     "NetServerHost",
     "serve_forever",

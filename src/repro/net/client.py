@@ -4,10 +4,12 @@ The protocol clients (:class:`~repro.ustor.client.UstorClient`) and the
 session layer above them are event-driven and never block, so moving
 them onto sockets needs no changes there — only a transport whose
 ``send`` writes frames, and a scheduler whose ``now`` is a wall clock.
-:class:`NetSystem` assembles both and mirrors the surface of the
-simulator's :class:`~repro.workloads.runner.StorageSystem`, which is
-what keeps ``Session``/``OpHandle``, the incremental auditors, the
-workload driver and the consistency checkers working unchanged.
+:func:`open_tcp_system` assembles both into the same
+:class:`~repro.api.system.System` the simulator builds (its scheduler is
+a :class:`~repro.net.realtime.RealtimeScheduler`, and it holds the
+connections it closes), which is what keeps ``Session``/``OpHandle``,
+the incremental auditors, the workload driver and the consistency
+checkers working unchanged.
 
 Reliability bridge
 ------------------
@@ -35,9 +37,9 @@ from __future__ import annotations
 
 import asyncio
 import random
-from dataclasses import dataclass, field
 from typing import Callable
 
+from repro.api.system import System
 from repro.common.errors import (
     ConfigurationError,
     DecodeError,
@@ -45,7 +47,6 @@ from repro.common.errors import (
     SimulationError,
 )
 from repro.crypto.keystore import KeyStore
-from repro.history.history import History
 from repro.history.recorder import HistoryRecorder
 from repro.net.framing import MAX_FRAME_BYTES, encode_frame, read_frame
 from repro.net.realtime import RealtimeScheduler
@@ -64,7 +65,6 @@ __all__ = [
     "NetRuntime",
     "ClientConnection",
     "ClientTransport",
-    "NetSystem",
     "ReconnectBackoff",
     "open_tcp_system",
     "parse_endpoint",
@@ -436,157 +436,22 @@ class ClientTransport:
             self.send(src, dst, message)
 
 
-@dataclass
-class NetSystem:
-    """A real-transport deployment behind the ``StorageSystem`` surface."""
-
-    runtime: NetRuntime
-    scheduler: RealtimeScheduler
-    network: ClientTransport
-    clients: list
-    recorder: HistoryRecorder
-    trace: SimTrace
-    keystore: KeyStore
-    connections: list[ClientConnection]
-    default_timeout: float = 30.0
-    #: No co-located server object — servers are separate processes (or
-    #: loopback hosts listed in ``hosts``); ``None`` keeps facade code
-    #: that probes ``system.server`` honest about that.
-    server: None = None
-    offline: None = None
-    batching: None = None
-    faust_clients: list = field(default_factory=list)
-    #: Loopback hosts owned by this system (closed with it); empty when
-    #: the servers are real separate processes.
-    hosts: list = field(default_factory=list)
-    trace_writer: object | None = None
-    #: Whether :meth:`close` also closes the runtime's event loop.  False
-    #: when the runtime was injected (loopback tests share one runtime
-    #: between host and clients and own its lifetime themselves).
-    owns_runtime: bool = True
-    #: Optional :class:`repro.obs.tracing.SpanLog` shared with the clients
-    #: (and read by sessions) when causal tracing is on.
-    span_log: object | None = None
-    #: Client-side ``/metrics`` endpoint, once :meth:`start_metrics` ran.
-    metrics_server: object | None = None
-
-    # -- running ------------------------------------------------------- #
-
-    def run_until(
-        self, predicate: Callable[[], bool], timeout: float | None = None
-    ) -> bool:
-        return self.runtime.pump_until(predicate, timeout)
-
-    def run(self, until: float | None = None, max_events: int | None = None) -> int:
-        """Pump for ``until`` seconds of wall-clock time (facade parity)."""
-        if until is None:
-            raise ConfigurationError(
-                "a real deployment cannot run to event-queue exhaustion; "
-                "give run() a wall-clock bound or use run_until()"
-            )
-        deadline = until
-        self.runtime.pump_until(lambda: self.scheduler.now >= deadline, None)
-        return self.scheduler.events_processed
-
-    def run_until_quiescent(
-        self, check_every: float = 0.05, timeout: float = 30.0
-    ) -> None:
-        def quiet() -> bool:
-            return all(
-                not getattr(c, "busy", False)
-                for c in self.clients
-                if not c.crashed
-            )
-
-        self.run_until(quiet, timeout=timeout)
-
-    # -- introspection (StorageSystem parity) -------------------------- #
-
-    def history(self) -> History:
-        return self.recorder.history()
-
-    def attach_audit(
-        self,
-        every: float = 1.0,
-        checks: tuple[str, ...] = ("linearizability", "causal"),
-    ):
-        from repro.workloads.runner import IncrementalAuditor
-
-        return IncrementalAuditor(self, every=every, checks=checks)
-
-    def client(self, client_id: int):
-        return self.clients[client_id]
-
-    @property
-    def now(self) -> float:
-        return self.scheduler.now
-
-    # -- lifecycle ----------------------------------------------------- #
-
-    def wait_connected(self, timeout: float = 5.0) -> None:
-        """Block until every connection finished its handshake."""
-        ok = self.run_until(
-            lambda: any(c.error for c in self.connections)
-            or all(c.connected for c in self.connections),
-            timeout=timeout,
+def _wait_connected(system: System, timeout: float) -> None:
+    """Block until every connection of ``system`` finished its handshake."""
+    connections = system.connections
+    ok = system.run_until(
+        lambda: any(c.error for c in connections)
+        or all(c.connected for c in connections),
+        timeout=timeout,
+    )
+    errors = sorted({c.error for c in connections if c.error})
+    if errors:
+        raise ConfigurationError("; ".join(errors))
+    if not ok:
+        missing = [f"{c.host}:{c.port}" for c in connections if not c.connected]
+        raise ConfigurationError(
+            f"could not connect to {sorted(set(missing))} within {timeout:g}s"
         )
-        errors = sorted({c.error for c in self.connections if c.error})
-        if errors:
-            raise ConfigurationError("; ".join(errors))
-        if not ok:
-            missing = [
-                f"{c.host}:{c.port}" for c in self.connections if not c.connected
-            ]
-            raise ConfigurationError(
-                f"could not connect to {sorted(set(missing))} "
-                f"within {timeout:g}s"
-            )
-
-    def start_metrics(
-        self,
-        *,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        on_scrape: Callable[[], None] | None = None,
-    ):
-        """Expose the current registry on an HTTP ``/metrics`` endpoint.
-
-        Runs on this system's event loop; returns the started
-        :class:`~repro.obs.exposition.MetricsHTTPServer` (its ``port``
-        resolves the ephemeral bind).  Stopped again by :meth:`close`.
-        """
-        from repro.obs.exposition import MetricsHTTPServer
-
-        server = MetricsHTTPServer(
-            get_registry(), host=host, port=port, on_scrape=on_scrape
-        )
-        self.runtime.run_coroutine(server.start())
-        self.metrics_server = server
-        return server
-
-    def close(self) -> None:
-        """Tear down connections, loopback hosts, trace and loop."""
-
-        async def shutdown() -> None:
-            for connection in self.connections:
-                await connection.aclose()
-            for host in self.hosts:
-                await host.stop()
-            if self.metrics_server is not None:
-                await self.metrics_server.stop()
-
-        if not self.runtime.loop.is_closed():
-            self.runtime.run_coroutine(shutdown())
-        if self.trace_writer is not None:
-            self.trace_writer.close()
-        if self.owns_runtime:
-            self.runtime.close()
-
-    def __enter__(self) -> "NetSystem":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
 
 def open_tcp_system(
@@ -606,7 +471,7 @@ def open_tcp_system(
     replicas: int = 1,
     quorum: int | None = None,
     counter: bool = False,
-) -> NetSystem:
+) -> System:
     """Open a single-shard deployment over real TCP.
 
     ``endpoints`` must name one ``host:port`` per replica — exactly one
@@ -727,23 +592,24 @@ def open_tcp_system(
             connection.start()
             connections.append(connection)
         clients.append(client)
-    system = NetSystem(
-        runtime=runtime,
+    system = System(
+        backend_name="ustor",
         scheduler=runtime.scheduler,
         network=transport,
         clients=clients,
         recorder=recorder,
         trace=sim_trace,
         keystore=keystore,
-        connections=connections,
         default_timeout=default_timeout,
+        span_log=span_log,
+        runtime=runtime,
+        connections=connections,
         trace_writer=trace_writer,
         owns_runtime=owns_runtime,
-        span_log=span_log,
     )
     if connect_timeout is not None:
         try:
-            system.wait_connected(timeout=connect_timeout)
+            _wait_connected(system, connect_timeout)
         except ConfigurationError:
             system.close()
             raise

@@ -1,4 +1,10 @@
-"""Workloads: system assembly, scripted/random drivers, paper scenarios."""
+"""Workloads: system assembly, scripted/random drivers, paper scenarios.
+
+:class:`SystemBuilder` assembles a simulated deployment into the one
+deployment class, :class:`repro.api.system.System`; the drivers, churn
+schedules and scenarios here run against that surface on either
+transport.
+"""
 
 from repro.workloads.churn import ChurnSchedule, OfflineWindow
 from repro.workloads.generator import (
@@ -13,7 +19,7 @@ from repro.workloads.generator import (
     generate_scripts,
     unique_value,
 )
-from repro.workloads.runner import StorageSystem, SystemBuilder
+from repro.workloads.runner import SystemBuilder
 from repro.workloads.scale import (
     ResidentSample,
     ScaleConfig,
@@ -51,7 +57,6 @@ __all__ = [
     "SessionPool",
     "SessionWindow",
     "SplitBrainResult",
-    "StorageSystem",
     "SystemBuilder",
     "TimedOp",
     "WorkloadConfig",

@@ -19,9 +19,12 @@ churn tests pin down.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.common.types import ClientId
-from repro.workloads.runner import StorageSystem
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.api.system import System
 
 
 @dataclass(frozen=True)
@@ -60,7 +63,7 @@ class ServerOutageWindow:
 class ChurnSchedule:
     """Applies offline windows to a FAUST deployment."""
 
-    def __init__(self, system: StorageSystem) -> None:
+    def __init__(self, system: System) -> None:
         self._system = system
         self.windows: list[OfflineWindow] = []
         self.server_outages: list[ServerOutageWindow] = []

@@ -22,10 +22,13 @@ from __future__ import annotations
 import random
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.common.errors import ConfigurationError, ProtocolError
 from repro.common.types import ClientId, OpKind, RegisterId
-from repro.workloads.runner import StorageSystem
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.api.system import System
 
 
 @dataclass(frozen=True)
@@ -227,18 +230,12 @@ class Driver:
     per-client sessions instead of calling the protocol clients
     directly — the mode a batching deployment needs, since the session
     is the layer that buffers and auto-flushes submissions
-    (``SystemConfig(batching=...)``).  Requires a system exposing
-    ``session(client_id)`` (the api facade or a cluster).
+    (``SystemConfig(batching=...)``).
     """
 
-    def __init__(self, system: StorageSystem, via_sessions: bool = False) -> None:
+    def __init__(self, system: System, via_sessions: bool = False) -> None:
         self._system = system
         self._via_sessions = via_sessions
-        if via_sessions and not hasattr(system, "session"):
-            raise ConfigurationError(
-                "via_sessions needs a system with per-client sessions "
-                "(open it through repro.api)"
-            )
         self.stats = DriverStats()
 
     def attach(self, client_id: ClientId, script: list[PlannedOp]) -> None:

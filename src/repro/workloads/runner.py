@@ -2,9 +2,10 @@
 
 :class:`SystemBuilder` wires a complete simulated deployment — scheduler,
 FIFO network, offline channel, keystore, server (correct or Byzantine),
-clients, history recorder — and :class:`StorageSystem` drives it.  All
-tests, examples and benchmarks build their worlds through this module, so
-a deployment is always described by a handful of declarative knobs.
+clients, history recorder — into a :class:`~repro.api.system.System`,
+which drives it.  All tests, examples and benchmarks build their worlds
+through this module, so a deployment is always described by a handful
+of declarative knobs.
 
 :class:`IncrementalAuditor` adds periodic consistency audits to any
 deployment (single-server or cluster): streaming checkers subscribe to
@@ -16,16 +17,14 @@ check instead of the full-history re-check an offline audit costs.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Sequence
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable
 
+from repro.api.system import System
 from repro.common.errors import ConfigurationError
-from repro.common.types import ClientId
 from repro.crypto.keystore import KeyStore
-from repro.history.history import History
 from repro.history.recorder import HistoryRecorder
 from repro.obs.registry import COUNT_BUCKETS, get_registry
-from repro.sim.faults import ServerFaultInjector
 from repro.sim.network import FixedLatency, LatencyModel, Network
 from repro.sim.offline import OfflineChannel
 from repro.sim.scheduler import Scheduler
@@ -40,147 +39,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only (api imports runner)
 
 #: Builds a server given (num_clients, name); lets tests inject Byzantine ones.
 ServerFactory = Callable[[int, str], UstorServer]
-
-
-@dataclass
-class StorageSystem:
-    """A fully wired simulated deployment."""
-
-    scheduler: Scheduler
-    network: Network
-    offline: OfflineChannel
-    server: UstorServer
-    clients: list
-    recorder: HistoryRecorder
-    trace: SimTrace
-    keystore: KeyStore
-    faust_clients: list = field(default_factory=list)
-    #: The throughput pipeline this deployment was built with (``None``
-    #: = unbatched); sessions read their flush policy from here.
-    batching: "BatchingPolicy | None" = None
-    #: Assign a :class:`repro.obs.tracing.SpanLog` here *before* opening
-    #: sessions to collect per-operation spans (sessions capture it once).
-    span_log: object | None = None
-    #: The full replica group (``[server]`` when unreplicated): every
-    #: server of this deployment's shard, in replica order.  ``server``
-    #: stays the first replica so single-server call sites run unchanged.
-    replica_servers: list = field(default_factory=list)
-
-    def run(self, until: float | None = None, max_events: int | None = None) -> int:
-        """Advance the simulation; returns the number of events fired."""
-        return self.scheduler.run(until=until, max_events=max_events)
-
-    def run_until(
-        self, predicate: Callable[[], bool], timeout: float | None = None
-    ) -> bool:
-        """Run until ``predicate()`` holds; False on timeout."""
-        return self.scheduler.run_until(predicate, timeout=timeout)
-
-    def run_until_quiescent(
-        self, check_every: float = 1.0, timeout: float = 10_000.0
-    ) -> None:
-        """Run until no operation is pending at any client (or timeout).
-
-        ``check_every`` is the poll cadence: the O(clients) all-idle scan
-        re-runs only once virtual time has advanced by that much since the
-        last scan (``run_until`` evaluates its predicate after *every*
-        event, so an unthrottled scan would dominate busy runs).  The
-        system may therefore run up to ``check_every`` time units past
-        the first quiescent instant before this call returns.
-        """
-        if check_every <= 0:
-            raise ConfigurationError("check_every must be positive")
-
-        last_scan = [float("-inf")]
-
-        def quiet() -> bool:
-            now = self.scheduler.now
-            if now - last_scan[0] < check_every:
-                return False
-            last_scan[0] = now
-            return all(
-                not getattr(c, "busy", False) for c in self.clients if not c.crashed
-            )
-
-        self.run_until(quiet, timeout=timeout)
-
-    def history(self) -> History:
-        """The recorded history (pending operations included)."""
-        return self.recorder.history()
-
-    def attach_audit(
-        self,
-        every: float = 50.0,
-        checks: tuple[str, ...] = ("linearizability", "causal"),
-    ) -> "IncrementalAuditor":
-        """Start periodic O(delta) consistency audits on this deployment."""
-        return IncrementalAuditor(self, every=every, checks=checks)
-
-    def profile(self) -> dict:
-        """Machine-readable performance profile of this deployment
-        (:func:`repro.perf.system_profile`): scheduler/server/client
-        counters plus hot-path cache effectiveness."""
-        from repro.perf.profile import system_profile
-
-        return system_profile(self)
-
-    def client(self, client_id: ClientId):
-        """The protocol client with id ``client_id``."""
-        return self.clients[client_id]
-
-    def crash_client_at(self, client_id: ClientId, time: float) -> None:
-        """Schedule a crash-stop of one client at an absolute virtual time."""
-        node = self.clients[client_id]
-        self.scheduler.schedule_at(
-            time, lambda: (node.crash(), self.trace.note(time, node.name, "crash"))
-        )
-
-    # -- server faults (the storage/recovery axis) --------------------- #
-
-    def crash_server_at(self, time: float) -> None:
-        """Schedule a server crash at an absolute virtual time."""
-        self._server_faults().crash_at(time)
-
-    def restart_server_at(self, time: float) -> None:
-        """Schedule a server restart (engine recovery) at a virtual time."""
-        self._server_faults().restart_at(time)
-
-    def server_outage(self, start: float, duration: float) -> None:
-        """One crash-recovery window: server down over [start, start+duration).
-
-        On a replica group the window hits **every** replica — a
-        correlated outage, matching the single-server semantics "the
-        service is down".  Use :meth:`replica_outage` to crash one
-        replica (the fault an honest majority masks).
-        """
-        for index in range(len(self.replica_servers) or 1):
-            self._server_faults(index).outage(start, duration)
-
-    def replica_outage(self, replica: int, start: float, duration: float) -> None:
-        """One crash-recovery window for a single replica of the group."""
-        self._server_faults(replica).outage(start, duration)
-
-    def crash_replica_at(self, replica: int, time: float) -> None:
-        """Schedule a crash of one replica at an absolute virtual time."""
-        self._server_faults(replica).crash_at(time)
-
-    def restart_replica_at(self, replica: int, time: float) -> None:
-        """Schedule one replica's restart (engine recovery)."""
-        self._server_faults(replica).restart_at(time)
-
-    def _server_faults(self, replica: int = 0) -> ServerFaultInjector:
-        group = self.replica_servers or [self.server]
-        if not 0 <= replica < len(group):
-            raise ConfigurationError(
-                f"replica {replica} out of range: the group has "
-                f"{len(group)} replica(s)"
-            )
-        return ServerFaultInjector(self.scheduler, group[replica], self.trace)
-
-    @property
-    def now(self) -> float:
-        """Current virtual time."""
-        return self.scheduler.now
 
 
 @dataclass(frozen=True)
@@ -314,7 +172,7 @@ class IncrementalAuditor:
 
 
 class SystemBuilder:
-    """Declarative construction of a :class:`StorageSystem`.
+    """Declarative construction of a simulated :class:`System`.
 
     >>> system = SystemBuilder(num_clients=2, seed=1).build()
     >>> system.clients[0].write(b"hello")
@@ -340,6 +198,7 @@ class SystemBuilder:
         quorum: int | None = None,
         counter: str | None = None,
         replica_server_factories: dict | None = None,
+        notify: bool = True,
     ) -> None:
         if num_clients < 1:
             raise ConfigurationError("need at least one client")
@@ -396,6 +255,9 @@ class SystemBuilder:
         # shared trace) so every shard lives in the same virtual time.
         self._shared_scheduler = scheduler
         self._shared_trace = trace
+        # Whether the built system wires its own notification hub (a
+        # cluster's shards do not: the cluster wires one per touch).
+        self.notify = notify
 
     def _replica_names(self) -> list[str]:
         if self.replicas == 1:
@@ -443,9 +305,27 @@ class SystemBuilder:
             "counter": self.counter is not None,
         }
 
-    def build(self) -> StorageSystem:
+    def _system(self, backend_name: str, clients: list, core) -> System:
+        scheduler, trace, network, offline, keystore, recorder, servers = core
+        return System(
+            backend_name=backend_name,
+            scheduler=scheduler,
+            network=network,
+            offline=offline,
+            server=servers[0],
+            clients=clients,
+            recorder=recorder,
+            trace=trace,
+            keystore=keystore,
+            batching=self.batching,
+            replica_servers=list(servers),
+            notify=self.notify,
+        )
+
+    def build(self) -> System:
         """A plain USTOR deployment (no fail-aware layer)."""
-        scheduler, trace, network, offline, keystore, recorder, servers = self._core()
+        core = self._core()
+        _, _, network, offline, keystore, recorder, _ = core
         clients = []
         for i in range(self.num_clients):
             client = UstorClient(
@@ -460,22 +340,9 @@ class SystemBuilder:
             network.register(client)
             offline.register(client)
             clients.append(client)
-        return StorageSystem(
-            scheduler=scheduler,
-            network=network,
-            offline=offline,
-            server=servers[0],
-            clients=clients,
-            recorder=recorder,
-            trace=trace,
-            keystore=keystore,
-            batching=self.batching,
-            replica_servers=list(servers),
-        )
+        return self._system("ustor", clients, core)
 
-    def build_faust(
-        self, checkpoint=None, membership=None, **faust_kwargs
-    ) -> StorageSystem:
+    def build_faust(self, checkpoint=None, membership=None, **faust_kwargs) -> System:
         """A FAUST deployment: USTOR plus the fail-aware layer (Section 6).
 
         ``checkpoint`` (a :class:`~repro.faust.checkpoint.CheckpointPolicy`)
@@ -493,7 +360,8 @@ class SystemBuilder:
         """
         from repro.faust.client import FaustClient
 
-        scheduler, trace, network, offline, keystore, recorder, servers = self._core()
+        core = self._core()
+        _, _, network, offline, keystore, recorder, _ = core
         clients = []
         for i in range(self.num_clients):
             client = FaustClient(
@@ -526,16 +394,4 @@ class SystemBuilder:
 
             for client in clients:
                 client.add_checkpoint_listener(_on_install)
-        return StorageSystem(
-            scheduler=scheduler,
-            network=network,
-            offline=offline,
-            server=servers[0],
-            clients=clients,
-            recorder=recorder,
-            trace=trace,
-            keystore=keystore,
-            faust_clients=list(clients),
-            batching=self.batching,
-            replica_servers=list(servers),
-        )
+        return self._system("faust", clients, core)

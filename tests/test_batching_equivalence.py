@@ -300,16 +300,6 @@ def test_driver_via_sessions_engages_batching():
     assert system.server.group_commits > 0
 
 
-def test_driver_via_sessions_needs_session_surface():
-    from repro.common.errors import ConfigurationError
-    from repro.workloads.generator import Driver
-    from repro.workloads.runner import SystemBuilder
-
-    raw = SystemBuilder(num_clients=2, seed=1).build()  # no .session()
-    with pytest.raises(ConfigurationError):
-        Driver(raw, via_sessions=True)
-
-
 def test_wait_for_stability_flushes_parked_writes():
     """A blocking stability wait issues what it waits on, even under a
     barrier-only flush policy (regression: burned the whole timeout)."""

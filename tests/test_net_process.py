@@ -20,7 +20,6 @@ import time
 
 import pytest
 
-from repro.api.session import as_session
 from repro.cli import main
 from repro.common.errors import ConfigurationError
 from repro.consistency.causal import check_causal_consistency
@@ -84,7 +83,7 @@ class TestServerProcess:
         try:
             system = open_tcp_system(2, (endpoint,), default_timeout=15.0)
             with system:
-                session = as_session(system, 0)
+                session = system.session(0)
                 assert session.write_sync(b"survives") == 1
                 os.kill(proc.process.pid, signal.SIGKILL)
                 proc.process.wait(timeout=10)
@@ -106,8 +105,8 @@ class TestServerProcess:
         with ServerProcess(2, server="tampering") as proc:
             system = open_tcp_system(2, (proc.endpoint,), default_timeout=5.0)
             with system:
-                as_session(system, 0).write_sync(b"genuine")
-                reader = as_session(system, 1, timeout=2.0)
+                system.session(0).write_sync(b"genuine")
+                reader = system.session(1, timeout=2.0)
                 with pytest.raises(Exception):
                     reader.read_sync(0)
                 system.run_until_quiescent(timeout=2.0)
@@ -137,7 +136,7 @@ class TestClusterSupervisor:
                     default_timeout=10.0,
                 )
                 with system:
-                    session = as_session(system, 0)
+                    session = system.session(0)
                     assert session.write_sync(f"shard-{shard}".encode()) == 1
                 assert os.path.isdir(storage.format(shard=shard))
 

@@ -20,7 +20,6 @@ import random
 
 import pytest
 
-from repro.api.session import as_session
 from repro.common.errors import ConfigurationError
 from repro.consistency.causal import check_causal_consistency
 from repro.consistency.linearizability import check_linearizability
@@ -97,7 +96,7 @@ class TestReplayEquivalence:
         # reconnect and retransmit (flagged retx in the trace), and the
         # replay — which skips retx frames — still matches exactly.
         def drive(system) -> None:
-            sessions = [as_session(system, i) for i in range(3)]
+            sessions = [system.session(i) for i in range(3)]
             for round_no in range(4):
                 for i, session in enumerate(sessions):
                     session.write_sync(f"r{round_no}-c{i}".encode())
@@ -126,8 +125,8 @@ class TestReplayEquivalence:
         # Algorithm 1 line 50).  The replay re-delivers the recorded
         # bytes to fresh clients and must re-derive the same fail_i.
         def drive(system) -> None:
-            writer = as_session(system, 0)
-            reader = as_session(system, 1, timeout=1.0)
+            writer = system.session(0)
+            reader = system.session(1, timeout=1.0)
             writer.write_sync(b"the-truth")
             with pytest.raises(Exception):
                 reader.read_sync(0)  # fails or times out: server is lying

@@ -242,8 +242,6 @@ class TestDetectionLatencySim:
 @pytest.mark.net
 class TestDetectionLatencyTcp:
     def test_tampering_server_over_loopback(self):
-        from repro.api.backends import get_backend
-        from repro.api.system import System as ApiSystem
         from repro.net.client import NetRuntime, open_tcp_system
         from repro.net.server import NetServerHost
 
@@ -262,9 +260,7 @@ class TestDetectionLatencyTcp:
             system.hosts.append(host)
             system.owns_runtime = True
             with system:
-                facade = ApiSystem(
-                    system, "ustor", get_backend("ustor").capabilities, 10.0
-                )
+                facade = system
                 monitor = HealthMonitor(
                     system.clients, lambda: system.scheduler.now
                 )

@@ -7,7 +7,7 @@ import pytest
 from repro.api import Session
 from repro.common.errors import ConfigurationError, SimulationError
 from repro.ustor.byzantine import UnresponsiveServer
-from repro.workloads.runner import StorageSystem, SystemBuilder
+from repro.workloads.runner import SystemBuilder
 
 
 class TestSystemBuilder:
